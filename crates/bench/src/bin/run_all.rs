@@ -1,14 +1,14 @@
 //! Runs the full experiment suite (the `EXPERIMENTS.md` regeneration
 //! driver): `cargo run -p wcet-bench --bin run_all --release`.
 //!
-//! Experiments ported to the [`AnalysisEngine`] API run in-process (their
-//! WCET rows land in `BENCH_results.json`); the rest are spawned as
-//! sibling binaries (build them first: `cargo build --release`). The
-//! driver also measures batch-vs-sequential analysis wall-clock on a
-//! multi-task set, so the perf trajectory of the engine is recorded on
-//! every run.
+//! Every experiment runs in-process (its WCET rows and effort counters
+//! land in `BENCH_results.json`); no process is spawned. The driver also
+//! measures batch-vs-sequential analysis wall-clock on a multi-task set,
+//! the solver's warm-start savings, the example scenario matrix and the
+//! streaming campaign, so the perf trajectory of the engine is recorded
+//! on every run. Served-request latency is measured by `perfbench`'s
+//! serve-mixed workload, not here.
 
-use std::process::Command;
 use std::time::Instant;
 
 use wcet_bench::experiments::{ExperimentRun, IN_PROCESS};
@@ -18,30 +18,14 @@ use wcet_bench::scenario::{
     CampaignRun, MatrixOptions,
 };
 use wcet_bench::{comparison_workload, l2_bound_machine, l2_bound_victim, machine};
-use wcet_bench::{fixpoint_json, skip_json};
+use wcet_bench::{fixpoint_json, skip_json, solver_json};
 use wcet_core::analyzer::Analyzer;
-use wcet_core::engine::{AnalysisEngine, SolverStats};
+use wcet_core::engine::AnalysisEngine;
 use wcet_core::mode::{Footprint, Isolated, JointRefs};
+use wcet_ir::fixpoint::FixpointStats;
 use wcet_ir::synth::{matmul, Placement};
 use wcet_ir::Program;
 use wcet_sched::{Task, TaskSet};
-
-/// All experiment ids, in suite order.
-const EXPERIMENTS: [&str; 13] = [
-    "exp01_singlecore",
-    "exp02_shared_l2",
-    "exp03_lifetime",
-    "exp04_bypass",
-    "exp05_partition_lock",
-    "exp06_column_bank",
-    "exp07_yieldgraph",
-    "exp08_tdma",
-    "exp09_rr_bound",
-    "exp10_mbba",
-    "exp11_isolation",
-    "exp12_unsafe_solo",
-    "exp13_resource_phases",
-];
 
 fn rows_json(run: &ExperimentRun) -> Json {
     Json::Arr(
@@ -57,27 +41,6 @@ fn rows_json(run: &ExperimentRun) -> Json {
             })
             .collect(),
     )
-}
-
-fn solver_json(s: &SolverStats) -> Json {
-    Json::obj([
-        ("warm_hits", Json::from(s.warm_hits)),
-        ("cold_solves", Json::from(s.cold_solves)),
-        ("pivots", Json::from(s.totals.pivots)),
-        ("phase1_pivots", Json::from(s.totals.phase1_pivots)),
-        ("dual_pivots", Json::from(s.totals.dual_pivots)),
-        ("bland_pivots", Json::from(s.totals.bland_pivots)),
-        ("warm_starts", Json::from(s.totals.warm_starts)),
-        ("phase1_skips", Json::from(s.totals.phase1_skips)),
-        ("refactorizations", Json::from(s.totals.refactorizations)),
-        // Schema 4: the two-tier kernel's counters. `fallbacks` is the
-        // exactness watchdog — certified f64 solves that the exact
-        // referee rejected and re-ran on the exact tier.
-        ("f64_solves", Json::from(s.totals.f64_solves)),
-        ("certified", Json::from(s.totals.certified)),
-        ("fallbacks", Json::from(s.totals.fallbacks)),
-        ("eta_factors", Json::from(s.totals.eta_factors)),
-    ])
 }
 
 /// Re-runs the E02a k-sweep twice — cold per solve (sequential
@@ -351,82 +314,6 @@ fn campaign_sweep() -> Json {
     ])
 }
 
-fn run_subprocess(exp: &str) -> bool {
-    let status = Command::new(
-        std::env::current_exe()
-            .expect("self path")
-            .parent()
-            .expect("bin dir")
-            .join(exp),
-    )
-    .status();
-    matches!(status, Ok(s) if s.success())
-}
-
-/// Runs a `wcet-serve` sibling binary (falling back to `cargo run` when
-/// the sibling isn't built) and parses its one stdout line of JSON.
-/// The server lives in `wcet-serve`, which depends on this crate — so
-/// socket-driving passes run as subprocesses, never as library calls.
-fn serve_sibling_pass(name: &str, what: &str) -> (bool, Json) {
-    let sibling = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join(name)))
-        .filter(|p| p.exists());
-    let output = match sibling {
-        Some(bin) => Command::new(bin).output(),
-        None => Command::new("cargo")
-            .args(["run", "--release", "-q", "-p", "wcet-serve", "--bin", name])
-            .output(),
-    };
-    let out = match output {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("{what} failed to spawn: {e}");
-            return (false, Json::Null);
-        }
-    };
-    // The sibling narrates on stderr; relay it.
-    eprint!("{}", String::from_utf8_lossy(&out.stderr));
-    if !out.status.success() {
-        eprintln!("{what} failed ({})", out.status);
-        return (false, Json::Null);
-    }
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let Some(line) = stdout.lines().rev().find(|l| !l.trim().is_empty()) else {
-        eprintln!("{what} produced no JSON line");
-        return (false, Json::Null);
-    };
-    match Json::parse(line) {
-        Ok(doc) => {
-            assert_eq!(
-                doc.get("identical_bounds"),
-                Some(&Json::from(true)),
-                "served bounds diverged from the in-process run"
-            );
-            (true, doc)
-        }
-        Err(e) => {
-            eprintln!("{what} emitted unparseable JSON: {e}");
-            (false, Json::Null)
-        }
-    }
-}
-
-/// Schema 8: the serving pass — `serve_bench` asserts the served bounds
-/// are byte-identical to its own in-process run and exits non-zero
-/// otherwise.
-fn serve_pass() -> (bool, Json) {
-    serve_sibling_pass("serve_bench", "serving pass")
-}
-
-/// Schema 10: the open-system load pass — `load_bench` drives seeded
-/// Poisson/Zipf traffic with a retrying client against a deliberately
-/// under-provisioned server, asserting byte-identical bounds and zero
-/// unexplained errors (shed/latency counts are reported, not pinned).
-fn load_pass() -> (bool, Json) {
-    serve_sibling_pass("load_bench", "load pass")
-}
-
 /// Times batch engine analysis of the workload against the same tasks
 /// through sequential `Analyzer` calls, checking result equivalence.
 fn batch_vs_sequential() -> Json {
@@ -507,91 +394,64 @@ fn batch_vs_sequential() -> Json {
     ])
 }
 
+/// One `experiments[]` entry: the experiment run under a panic boundary
+/// (a panicking experiment is recorded as failed and the rest of the
+/// suite, and the JSON summary, still runs), timed end to end.
+fn experiment_entry(id: &str, runner: fn() -> ExperimentRun) -> (bool, Json) {
+    let start = Instant::now();
+    let run = std::panic::catch_unwind(runner);
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let Ok(run) = run else {
+        eprintln!("{id} failed (panicked)");
+        return (
+            false,
+            Json::obj([
+                ("id", Json::str(id)),
+                ("ok", Json::from(false)),
+                ("wall_ms", Json::from(wall_ms)),
+                ("rows", Json::Arr(Vec::new())),
+            ]),
+        );
+    };
+    // Schema 5 acceptance: wherever the worklist ran, it must beat the
+    // naive-sweep bill. A regression fails this experiment (like a panic
+    // would), not the whole suite.
+    let ok = run.fixpoint.evaluated == 0 || run.fixpoint.evaluated < run.fixpoint.sweep_evals;
+    if !ok {
+        eprintln!("{id}: worklist did not beat the sweep: {:?}", run.fixpoint);
+    }
+    // An experiment that ran no cache analysis reports `fixpoint: null`.
+    let fixpoint = if run.fixpoint == FixpointStats::default() {
+        Json::Null
+    } else {
+        fixpoint_json(&run.fixpoint)
+    };
+    (
+        ok,
+        Json::obj([
+            ("id", Json::str(id)),
+            ("title", Json::str(run.title)),
+            ("ok", Json::from(ok)),
+            ("wall_ms", Json::from(wall_ms)),
+            ("rows", rows_json(&run)),
+            ("solver", solver_json(&run.solver)),
+            ("fixpoint", fixpoint),
+            ("sim_skip", skip_json(&run.sim_skip)),
+        ]),
+    )
+}
+
 fn main() {
     let suite_start = Instant::now();
     let mut failed = Vec::new();
     let mut experiment_json = Vec::new();
-    for exp in EXPERIMENTS {
-        println!("===== {exp} =====");
-        let in_process = IN_PROCESS.iter().find(|(id, _)| *id == exp);
-        let start = Instant::now();
-        let (ok, title, rows, solver, fixpoint, sim_skip) = match in_process {
-            Some((_, runner)) => {
-                // Match the subprocess path's failure isolation: a
-                // panicking experiment is recorded as failed, and the
-                // rest of the suite (and the JSON summary) still runs.
-                match std::panic::catch_unwind(runner) {
-                    Ok(run) => {
-                        // Schema 5 acceptance: wherever the worklist ran,
-                        // it must beat the naive-sweep bill. A regression
-                        // fails this experiment (like a panic would), not
-                        // the whole suite.
-                        let fix_ok = run.fixpoint.evaluated == 0
-                            || run.fixpoint.evaluated < run.fixpoint.sweep_evals;
-                        if !fix_ok {
-                            eprintln!("{exp}: worklist did not beat the sweep: {:?}", run.fixpoint);
-                        }
-                        (
-                            fix_ok,
-                            Json::str(run.title),
-                            rows_json(&run),
-                            solver_json(&run.solver),
-                            fixpoint_json(&run.fixpoint),
-                            skip_json(&run.sim_skip),
-                        )
-                    }
-                    Err(_) => {
-                        eprintln!("{exp} failed (panicked)");
-                        (
-                            false,
-                            Json::Null,
-                            Json::Arr(Vec::new()),
-                            Json::Null,
-                            Json::Null,
-                            Json::Null,
-                        )
-                    }
-                }
-            }
-            None => {
-                let ok = run_subprocess(exp);
-                if !ok {
-                    eprintln!("{exp} failed");
-                }
-                (
-                    ok,
-                    Json::Null,
-                    Json::Arr(Vec::new()),
-                    Json::Null,
-                    Json::Null,
-                    Json::Null,
-                )
-            }
-        };
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    for &(id, runner) in IN_PROCESS {
+        println!("===== {id} =====");
+        let (ok, entry) = experiment_entry(id, runner);
         if !ok {
-            failed.push(exp);
+            failed.push(id);
         }
-        experiment_json.push(Json::obj([
-            ("id", Json::str(exp)),
-            ("title", title),
-            (
-                "driver",
-                Json::str(if in_process.is_some() {
-                    "in-process"
-                } else {
-                    "subprocess"
-                }),
-            ),
-            ("ok", Json::from(ok)),
-            ("wall_ms", Json::from(wall_ms)),
-            ("rows", rows),
-            ("solver", solver),
-            // Schema 5: fixpoint + event-skipping effort (null for
-            // subprocess experiments, which cannot report them).
-            ("fixpoint", fixpoint),
-            ("sim_skip", sim_skip),
-        ]));
+        experiment_json.push(entry);
     }
 
     println!("===== engine benchmark =====");
@@ -602,22 +462,12 @@ fn main() {
     let scenarios = scenario_sweep();
     println!("===== streaming campaign =====");
     let campaign = campaign_sweep();
-    println!("===== serving pass =====");
-    let (serve_ok, serve) = serve_pass();
-    if !serve_ok {
-        failed.push("serve");
-    }
-    println!("===== load pass =====");
-    let (load_ok, load) = load_pass();
-    if !load_ok {
-        failed.push("load");
-    }
 
     let doc = Json::obj([
-        // Schema 10: the document gains the `load` block — the
-        // open-system load pass (throughput, log2-histogram latency
-        // percentiles, shed/retry counts, byte-identity verdict).
-        ("schema", Json::from(10_u64)),
+        // Schema 11: every experiment runs in-process (no `driver`
+        // member, rows on all entries); the `serve` and `load` blocks
+        // are gone — served latency is perfbench's serve-mixed workload.
+        ("schema", Json::from(11_u64)),
         ("suite", Json::str("wcet-bench run_all")),
         (
             "total_ms",
@@ -628,8 +478,6 @@ fn main() {
         ("solver_warm_vs_cold", warm_cold),
         ("scenarios", scenarios),
         ("campaign", campaign),
-        ("serve", serve),
-        ("load", load),
     ]);
     let out = "BENCH_results.json";
     match std::fs::write(out, format!("{doc}\n")) {
@@ -641,7 +489,7 @@ fn main() {
     }
 
     if failed.is_empty() {
-        println!("all {} experiments completed", EXPERIMENTS.len());
+        println!("all {} experiments completed", IN_PROCESS.len());
     } else {
         eprintln!("failed experiments: {failed:?}");
         std::process::exit(1);

@@ -1,7 +1,8 @@
 //! Minimal JSON emission *and parsing* for `BENCH_results.json` (the
 //! workspace vendors no serde; experiment results are flat enough to
-//! handle by hand). Parsing exists for the `perf_trend` bin, which
-//! diffs a fresh run against the checked-in baseline document.
+//! handle by hand). Parsing and [`Json::numeric_leaves`] exist for the
+//! `perf_trend` bin, which diffs a fresh run against the checked-in
+//! baseline document.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -90,6 +91,46 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// Every numeric leaf below this value, keyed by its path. Object
+    /// members join with `.`; an array element is `[id]` when it is an
+    /// object with a string `id` member and `[index]` otherwise — so
+    /// `experiments[exp04_bypass].rows[1].wcet` names the same bound in
+    /// two documents however their experiment lists are ordered.
+    #[must_use]
+    pub fn numeric_leaves(&self) -> BTreeMap<String, f64> {
+        fn walk(v: &Json, path: String, out: &mut BTreeMap<String, f64>) {
+            match v {
+                Json::Obj(map) => {
+                    for (key, member) in map {
+                        let sub = if path.is_empty() {
+                            key.clone()
+                        } else {
+                            format!("{path}.{key}")
+                        };
+                        walk(member, sub, out);
+                    }
+                }
+                Json::Arr(items) => {
+                    for (i, item) in items.iter().enumerate() {
+                        let key = item
+                            .get("id")
+                            .and_then(Json::as_str)
+                            .map_or_else(|| i.to_string(), str::to_string);
+                        walk(item, format!("{path}[{key}]"), out);
+                    }
+                }
+                leaf => {
+                    if let Some(n) = leaf.as_f64() {
+                        out.insert(path, n);
+                    }
+                }
+            }
+        }
+        let mut out = BTreeMap::new();
+        walk(self, String::new(), &mut out);
+        out
     }
 
     /// Parses a JSON document (the subset this module emits: no
@@ -428,6 +469,45 @@ mod tests {
         // Floats never pass as exact counters.
         assert_eq!(v.get("f").and_then(Json::as_u64), None);
         assert_eq!(v.get("f").and_then(Json::as_f64), Some(1.5));
+    }
+
+    #[test]
+    fn numeric_leaves_key_arrays_by_id_and_expose_added_and_removed_leaves() {
+        let base = Json::parse(
+            r#"{"schema": 10, "title": "x", "experiments": [
+                {"id": "exp01", "wall_ms": 2.5, "rows": [{"wcet": 7}, {"wcet": 9}]},
+                {"id": "exp04", "driver": "subprocess", "rows": []}
+            ], "serve": {"req_per_sec": 3.0}}"#,
+        )
+        .expect("parses");
+        let cur = Json::parse(
+            r#"{"schema": 11, "title": "x", "experiments": [
+                {"id": "exp04", "rows": [{"wcet": 11, "ok": true}]},
+                {"id": "exp01", "wall_ms": 2.0, "rows": [{"wcet": 7}, {"wcet": 9}]}
+            ]}"#,
+        )
+        .expect("parses");
+        let (b, c) = (base.numeric_leaves(), cur.numeric_leaves());
+        // Strings and booleans are not leaves; numbers are, at any depth.
+        let keys: Vec<&str> = b.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "experiments[exp01].rows[0].wcet",
+                "experiments[exp01].rows[1].wcet",
+                "experiments[exp01].wall_ms",
+                "schema",
+                "serve.req_per_sec",
+            ]
+        );
+        // Id-keyed: reordering the experiments moves no leaf.
+        assert_eq!(c["experiments[exp01].rows[1].wcet"], 9.0);
+        assert_eq!(c["experiments[exp01].wall_ms"], 2.0);
+        assert_eq!(c["schema"], 11.0);
+        let added: Vec<&String> = c.keys().filter(|k| !b.contains_key(*k)).collect();
+        let removed: Vec<&String> = b.keys().filter(|k| !c.contains_key(*k)).collect();
+        assert_eq!(added, ["experiments[exp04].rows[0].wcet"]);
+        assert_eq!(removed, ["serve.req_per_sec"]);
     }
 
     /// A schema-4 experiment entry (no `fixpoint` / `sim_skip` members)

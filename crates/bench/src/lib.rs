@@ -1,7 +1,8 @@
 //! # wcet-bench — the experiment harness
 //!
 //! One binary per surveyed claim (see `EXPERIMENTS.md` at the workspace
-//! root): `exp01_singlecore` … `exp12_unsafe_solo`, plus `run_all`.
+//! root): `exp01_singlecore` … `exp13_resource_phases`, plus `run_all`,
+//! which runs all of them in-process.
 //! This library holds the shared machine/workload builders so every
 //! experiment uses the same substrate.
 
@@ -14,8 +15,32 @@ pub mod load;
 pub mod scenario;
 
 use json::Json;
+use wcet_core::engine::SolverStats;
 use wcet_ir::fixpoint::FixpointStats;
 use wcet_sim::machine::SkipStats;
+
+/// JSON rendering of ILP-solver counters: warm-start hits, pivots and
+/// (schema 4) the two-tier kernel's `f64_solves` / `certified` /
+/// `fallbacks`. `fallbacks` is the exactness watchdog — certified f64
+/// solves that the exact referee rejected and re-ran on the exact tier.
+#[must_use]
+pub fn solver_json(s: &SolverStats) -> Json {
+    Json::obj([
+        ("warm_hits", Json::from(s.warm_hits)),
+        ("cold_solves", Json::from(s.cold_solves)),
+        ("pivots", Json::from(s.totals.pivots)),
+        ("phase1_pivots", Json::from(s.totals.phase1_pivots)),
+        ("dual_pivots", Json::from(s.totals.dual_pivots)),
+        ("bland_pivots", Json::from(s.totals.bland_pivots)),
+        ("warm_starts", Json::from(s.totals.warm_starts)),
+        ("phase1_skips", Json::from(s.totals.phase1_skips)),
+        ("refactorizations", Json::from(s.totals.refactorizations)),
+        ("f64_solves", Json::from(s.totals.f64_solves)),
+        ("certified", Json::from(s.totals.certified)),
+        ("fallbacks", Json::from(s.totals.fallbacks)),
+        ("eta_factors", Json::from(s.totals.eta_factors)),
+    ])
+}
 
 /// JSON rendering of worklist-fixpoint counters (schema 5; the kernel
 /// and arena counters joined in schema 9).

@@ -1,5 +1,5 @@
 //! Open-system load-harness machinery: seeded Poisson arrivals, Zipf
-//! scenario popularity, a fixed-bucket log2 latency histogram, and
+//! scenario popularity, exact nearest-rank latency percentiles, and
 //! deterministic retry backoff.
 //!
 //! Everything here is *wire-agnostic* arithmetic — the bench crate
@@ -7,8 +7,8 @@
 //! socket-driving loop lives in `wcet-serve::load` and the `wcet load`
 //! subcommand, both of which consume these pieces. Keeping the math
 //! here means the load generator, the retrying client, and the
-//! `BENCH_results.json` `load` block (schema 10) all agree on one
-//! deterministic definition of "the request sequence for seed S".
+//! `wcet load --json` document all agree on one deterministic
+//! definition of "the request sequence for seed S".
 //!
 //! Determinism contract: every function of a seed returns the same
 //! value on every run and platform that shares a float implementation —
@@ -139,80 +139,19 @@ pub fn backoff_ms(base_ms: u64, cap_ms: u64, attempt: u32, seed: u64) -> u64 {
     exp.saturating_add(jitter).min(cap_ms.max(base))
 }
 
-/// A fixed-bucket log2 latency histogram: bucket `b ≥ 1` holds samples
-/// in `[2^(b-1), 2^b)` nanoseconds, bucket 0 holds zero. 64 buckets
-/// cover every representable latency with no allocation and O(64)
-/// percentile extraction — the resolution (a factor of 2) is exactly
-/// what an open-system tail report needs and no more.
-#[derive(Debug, Clone)]
-pub struct Log2Histogram {
-    buckets: [u64; 64],
-    count: u64,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Log2Histogram {
-        Log2Histogram {
-            buckets: [0; 64],
-            count: 0,
-        }
-    }
-}
-
-impl Log2Histogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Log2Histogram {
-        Log2Histogram::default()
-    }
-
-    /// Records one latency sample.
-    pub fn record_ns(&mut self, ns: u64) {
-        let bucket = (64 - ns.leading_zeros()) as usize;
-        self.buckets[bucket.min(63)] += 1;
-        self.count += 1;
-    }
-
-    /// Samples recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds another histogram in (per-connection histograms merge into
-    /// the run total).
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-
-    /// The inclusive upper bound (ns) of the bucket where the
-    /// cumulative count first reaches `p·count` (`0 < p ≤ 1`). Zero for
-    /// an empty histogram. Monotone in `p` by construction, so
-    /// `percentile_ns(0.99) ≥ percentile_ns(0.50)` always holds.
-    #[must_use]
-    #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
-    #[allow(clippy::cast_possible_truncation)] // count·p ≤ count
-    pub fn percentile_ns(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= target {
-                return match b {
-                    0 => 0,
-                    63 => u64::MAX,
-                    _ => (1u64 << b) - 1,
-                };
-            }
-        }
-        u64::MAX
-    }
+/// The nearest-rank `p`-quantile (`0 < p ≤ 1`) of `sorted` ascending
+/// samples: the smallest sample with at least `p·n` samples at or below
+/// it. Always one of the recorded samples, never an interpolation or a
+/// bucket edge; zero for no samples.
+#[must_use]
+#[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
+#[allow(clippy::cast_possible_truncation)] // n·p ≤ n
+pub fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    let Some(&last) = sorted.last() else {
+        return 0;
+    };
+    let rank = (p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(last)
 }
 
 /// The generated scenario pool the Zipf ranks index into: `n` distinct
@@ -241,9 +180,8 @@ pub fn scenario_pool(n: usize) -> Vec<String> {
 }
 
 /// What one load run measured, in the shape the `BENCH_results.json`
-/// schema-10 `load` block carries. Counts are exact; latency
-/// percentiles come from a [`Log2Histogram`] and are bucket upper
-/// bounds.
+/// `wcet load --json` document carries. Counts are exact; latency
+/// percentiles are [`nearest_rank`] over every completed request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadStats {
     /// Requests planned (the full seeded sequence).
@@ -267,7 +205,7 @@ pub struct LoadStats {
     pub wall_ms: f64,
     /// Completed requests per second of wall clock.
     pub throughput_rps: f64,
-    /// Median latency (histogram bucket upper bound), ms.
+    /// Median latency, ms.
     pub p50_ms: f64,
     /// 95th-percentile latency, ms.
     pub p95_ms: f64,
@@ -282,7 +220,7 @@ pub struct LoadStats {
     pub identical_bounds: bool,
 }
 
-/// The schema-10 `load` block.
+/// The `wcet load --json` document.
 #[must_use]
 pub fn load_json(s: &LoadStats) -> Json {
     Json::obj([
@@ -359,27 +297,16 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_are_monotone_and_bracket_samples() {
-        let mut h = Log2Histogram::new();
-        for ns in [800u64, 900, 1_000, 1_200, 50_000, 60_000, 1_000_000] {
-            h.record_ns(ns);
-        }
-        let (p50, p95, p99) = (
-            h.percentile_ns(0.50),
-            h.percentile_ns(0.95),
-            h.percentile_ns(0.99),
-        );
-        assert!(p50 > 0);
-        assert!(p95 >= p50);
-        assert!(p99 >= p95);
-        assert!(p50 >= 800, "p50 bucket bound below the smallest sample");
-        assert!(p99 >= 1_000_000 / 2, "p99 must reach the largest bucket");
-
-        let mut other = Log2Histogram::new();
-        other.record_ns(42);
-        h.merge(&other);
-        assert_eq!(h.count(), 8);
-        assert_eq!(Log2Histogram::new().percentile_ns(0.99), 0);
+    fn nearest_rank_percentiles_are_exact_samples() {
+        let mut samples = vec![1_000_000u64, 900, 60_000, 1_200, 800, 50_000, 1_000];
+        samples.sort_unstable();
+        // ⌈0.5·7⌉ = 4th smallest: 1 200 ns, a recorded sample, not the
+        // 2^11 − 1 = 2 047 ns edge a log2 bucket would report.
+        assert_eq!(nearest_rank(&samples, 0.50), 1_200);
+        assert_eq!(nearest_rank(&samples, 0.95), 1_000_000);
+        assert_eq!(nearest_rank(&samples, 0.99), 1_000_000);
+        assert_eq!(nearest_rank(&samples, 0.0), 800);
+        assert_eq!(nearest_rank(&[], 0.99), 0);
     }
 
     #[test]

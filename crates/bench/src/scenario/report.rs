@@ -113,18 +113,7 @@ pub fn matrix_json(run: &MatrixRun) -> Json {
         ("duplicates", Json::from(run.duplicates)),
         ("validated_cells", Json::from(validated)),
         ("sound_cells", Json::from(sound)),
-        (
-            "solver",
-            Json::obj([
-                ("warm_hits", Json::from(run.solver.warm_hits)),
-                ("cold_solves", Json::from(run.solver.cold_solves)),
-                ("pivots", Json::from(run.solver.totals.pivots)),
-                ("phase1_skips", Json::from(run.solver.totals.phase1_skips)),
-                ("f64_solves", Json::from(run.solver.totals.f64_solves)),
-                ("certified", Json::from(run.solver.totals.certified)),
-                ("fallbacks", Json::from(run.solver.totals.fallbacks)),
-            ]),
-        ),
+        ("solver", crate::solver_json(&run.solver)),
         // Schema 2: iteration effort — worklist fixpoint vs the naive
         // sweep it replaced, and the validation replays' skipped cycles.
         ("fixpoint", crate::fixpoint_json(&run.fixpoint)),
@@ -270,14 +259,7 @@ pub fn campaign_json(run: &CampaignRun) -> Json {
         ),
         ("wall_ms", Json::from(run.wall.as_millis() as u64)),
         ("cells_per_sec", Json::from(run.cells_per_sec())),
-        (
-            "solver",
-            Json::obj([
-                ("warm_hits", Json::from(run.solver.warm_hits)),
-                ("cold_solves", Json::from(run.solver.cold_solves)),
-                ("pivots", Json::from(run.solver.totals.pivots)),
-            ]),
-        ),
+        ("solver", crate::solver_json(&run.solver)),
         ("fixpoint", crate::fixpoint_json(&run.fixpoint)),
         ("sim_skip", crate::skip_json(&run.sim_skip)),
     ])

@@ -24,9 +24,9 @@
 //! server (`addr`), or against a private in-process server when `addr`
 //! is omitted: seeded Poisson arrivals over `--workers` closed
 //! connections, Zipf-popular scenarios from a generated pool, retrying
-//! on shed, reporting p50/p95/p99 latency, throughput, and
-//! shed/retry/error counts (`--json PATH` writes the schema-10 `load`
-//! block).
+//! on shed, reporting exact nearest-rank p50/p95/p99 latency,
+//! throughput, and shed/retry/error counts (`--json PATH` writes them
+//! as one JSON document).
 //!
 //! `run` performs analysis only; `validate` additionally replays cells
 //! on the cycle-level simulator and exits non-zero if a

@@ -51,9 +51,15 @@ impl Client {
     ///
     /// Whatever the TCP connect reports.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Ok(Client {
-            conn: TcpStream::connect(addr)?,
-        })
+        Client::over(TcpStream::connect(addr)?)
+    }
+
+    /// Wraps a connected stream. `TCP_NODELAY` keeps a kept-alive
+    /// connection's request frames from waiting on the peer's delayed
+    /// ACK.
+    fn over(conn: TcpStream) -> io::Result<Client> {
+        conn.set_nodelay(true)?;
+        Ok(Client { conn })
     }
 
     /// Connects with a bounded connect timeout. `ToSocketAddrs` may
@@ -69,7 +75,7 @@ impl Client {
         let mut last: Option<io::Error> = None;
         for resolved in addr.to_socket_addrs()? {
             match TcpStream::connect_timeout(&resolved, timeout) {
-                Ok(conn) => return Ok(Client { conn }),
+                Ok(conn) => return Client::over(conn),
                 Err(e) => last = Some(e),
             }
         }

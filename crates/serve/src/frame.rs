@@ -155,7 +155,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
     }
 }
 
-/// Writes one frame (header + payload) and flushes.
+/// Writes one frame and flushes. Header and payload go out in a single
+/// `write_all` of one buffer: two writes on a kept-alive socket let
+/// Nagle's algorithm hold the payload until the peer's delayed ACK of
+/// the header, stalling every request after the first by tens of
+/// milliseconds.
 ///
 /// # Errors
 ///
@@ -174,8 +178,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
                 ),
             )
         })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -190,6 +196,34 @@ mod tests {
         let mut cursor = &buf[..];
         assert_eq!(read_frame(&mut cursor).expect("reads"), "{\"x\":1}");
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
+    }
+
+    /// Counts the `write` calls that reach the transport.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_reaches_the_transport_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, "{\"x\":1}").expect("writes");
+        assert_eq!(w.writes, 1, "header and payload must share one write");
+        let mut cursor = &w.bytes[..];
+        assert_eq!(read_frame(&mut cursor).expect("reads"), "{\"x\":1}");
     }
 
     #[test]

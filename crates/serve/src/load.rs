@@ -1,6 +1,6 @@
 //! The open-system load harness: seeded Poisson arrivals over N closed
 //! connections, Zipf-popular scenarios from a generated pool, retries on
-//! shed, and a log2 latency histogram — the socket-driving half of
+//! shed, and exact latency percentiles — the socket-driving half of
 //! `wcet_bench::load` (the math lives there; this crate owns the
 //! client).
 //!
@@ -15,7 +15,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use wcet_bench::load::{poisson_offsets_ns, scenario_pool, zipf_picks, LoadStats, Log2Histogram};
+use wcet_bench::load::{nearest_rank, poisson_offsets_ns, scenario_pool, zipf_picks, LoadStats};
 use wcet_bench::scenario::{parse_matrix, run_matrix, MatrixOptions};
 
 use crate::client::{request_with_retry, Retry};
@@ -67,7 +67,8 @@ impl Default for LoadConfig {
 /// What one connection measured.
 #[derive(Debug, Default)]
 struct ConnTally {
-    histogram: Log2Histogram,
+    /// Latency of every completed request, ns.
+    latencies_ns: Vec<u64>,
     completed: u64,
     failed: u64,
     error_responses: u64,
@@ -165,7 +166,7 @@ pub fn run_load(config: &LoadConfig) -> LoadStats {
                                 tally.transport_retries += retry_stats.transport_retries;
                                 match response {
                                     Response::Bounds(b) => {
-                                        tally.histogram.record_ns(
+                                        tally.latencies_ns.push(
                                             u64::try_from(sent.elapsed().as_nanos())
                                                 .unwrap_or(u64::MAX),
                                         );
@@ -211,13 +212,13 @@ pub fn run_load(config: &LoadConfig) -> LoadStats {
     });
     let wall = started.elapsed();
 
-    let mut histogram = Log2Histogram::new();
+    let mut latencies_ns = Vec::new();
     let mut total = ConnTally {
         identical: true,
         ..ConnTally::default()
     };
     for tally in &tallies {
-        histogram.merge(&tally.histogram);
+        latencies_ns.extend_from_slice(&tally.latencies_ns);
         total.completed += tally.completed;
         total.failed += tally.failed;
         total.error_responses += tally.error_responses;
@@ -227,7 +228,8 @@ pub fn run_load(config: &LoadConfig) -> LoadStats {
         total.identical &= tally.identical;
     }
 
-    let to_ms = |ns: u64| ns as f64 / 1e6;
+    latencies_ns.sort_unstable();
+    let percentile_ms = |p: f64| nearest_rank(&latencies_ns, p) as f64 / 1e6;
     LoadStats {
         requests: requests as u64,
         completed: total.completed,
@@ -238,9 +240,9 @@ pub fn run_load(config: &LoadConfig) -> LoadStats {
         transport_retries: total.transport_retries,
         wall_ms: wall.as_secs_f64() * 1e3,
         throughput_rps: total.completed as f64 / wall.as_secs_f64().max(1e-9),
-        p50_ms: to_ms(histogram.percentile_ns(0.50)),
-        p95_ms: to_ms(histogram.percentile_ns(0.95)),
-        p99_ms: to_ms(histogram.percentile_ns(0.99)),
+        p50_ms: percentile_ms(0.50),
+        p95_ms: percentile_ms(0.95),
+        p99_ms: percentile_ms(0.99),
         connections: connections as u64,
         seed: config.seed,
         identical_bounds: total.identical && total.completed > 0,

@@ -291,6 +291,9 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
                             }
                             continue;
                         }
+                        // Responses go out without waiting on the
+                        // client's delayed ACK (see `write_frame`).
+                        let _ = conn.set_nodelay(true);
                         let admitted = Conn {
                             stream: conn,
                             reader: FrameReader::new(),
